@@ -59,7 +59,8 @@ pub trait Measurement: Send + Sync + Debug {
     /// default loops [`measure_detailed`](Measurement::measure_detailed),
     /// so every measurement supports batching; sim-backed measurements
     /// override it to run all programs through the simulator's lockstep
-    /// batch core, which amortizes per-run setup without changing any
+    /// batch core. Both paths pool instruments and memoize derived values
+    /// across runs (see [`gest_sim::SimScratch`]), and neither changes any
     /// value. A failing program yields an `Err` in its lane only — it
     /// never disturbs its neighbours.
     fn measure_batch_detailed(&self, programs: &[Program]) -> MeasuredBatch {
@@ -89,14 +90,15 @@ struct SimBacked {
 
 thread_local! {
     /// One reusable simulator scratch per evaluation thread: decode
-    /// buffers, the per-cycle energy waveform, and steady-state detector
-    /// storage survive across the many programs a GA worker measures.
+    /// buffers, the per-cycle energy waveform, steady-state detector
+    /// storage, the pooled architectural state and data cache, and the
+    /// fill-hash and thermal memos survive across the many programs a GA
+    /// worker measures.
     static SIM_SCRATCH: std::cell::RefCell<gest_sim::SimScratch> =
         std::cell::RefCell::new(gest_sim::SimScratch::new());
 
-    /// The batched counterpart: per-lane scratch plus the shared memos
-    /// (fill-pattern hashes, thermal schedule) that make batch evaluation
-    /// cheaper than N single runs.
+    /// The batched counterpart: the same pooling per lane, with the memos
+    /// shared by every lane.
     static BATCH_SCRATCH: std::cell::RefCell<gest_sim::BatchScratch> =
         std::cell::RefCell::new(gest_sim::BatchScratch::new());
 }

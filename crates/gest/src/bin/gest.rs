@@ -1504,8 +1504,9 @@ struct ColdStats {
 
 /// Times the batched simulator core on a *cold* workload: every candidate
 /// is novel (bred once by the GA's seeding path), so neither the
-/// evaluation cache nor steady-state reuse applies — this isolates the
-/// lockstep-lane win on first-sight candidates, the regime early
+/// evaluation cache nor steady-state reuse applies — this isolates what
+/// lockstep lanes add over the pooled single path on first-sight
+/// candidates, the regime early
 /// generations of a search live in. The candidates are materialized once
 /// untimed (program assembly is identical work for both arms), then
 /// measured one at a time and in lockstep lanes; the two arms must agree

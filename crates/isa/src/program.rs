@@ -76,8 +76,8 @@ impl Program {
     }
 
     /// Executes just the init instruction stream, without the memory
-    /// fill. Batched simulation applies [`MemInit`] itself (seeding a
-    /// shared content hash for the fill pattern) and then calls this.
+    /// fill. The simulator applies [`MemInit`] itself (seeding a
+    /// memoized content hash for the fill pattern) and then calls this.
     ///
     /// # Errors
     ///

@@ -153,7 +153,7 @@ impl ArchState {
 
     /// Zeroes just the register files, leaving the memory buffer (and its
     /// hash bookkeeping) untouched — for callers that are about to
-    /// overwrite the whole memory image anyway, like batched simulation
+    /// overwrite the whole memory image anyway, like the simulator
     /// re-filling a pooled state.
     pub fn reset_regs(&mut self) {
         self.xregs = [0; NUM_INT_REGS as usize];

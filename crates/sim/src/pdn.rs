@@ -18,7 +18,11 @@
 //!
 //! Integration is semi-implicit (symplectic) Euler at one step per clock
 //! cycle; with `ω₀·dt ≈ 0.2` for the Athlon preset this is comfortably
-//! stable.
+//! stable. The step gains `dt/L` and `dt/C` are folded once at
+//! construction, so a step is multiply–add only: the dI/dt search runs
+//! thousands of steps per candidate on one loop-carried chain, where a
+//! division's latency would dominate. Folded gains move voltages only in
+//! their trailing ulps relative to dividing by `L` and `C` each step.
 
 use crate::machine::PdnConfig;
 
@@ -66,7 +70,10 @@ impl VoltageStats {
 #[derive(Debug, Clone)]
 pub struct Pdn {
     config: PdnConfig,
-    dt_s: f64,
+    /// Inductor step gain `dt / L` (A per V).
+    dt_over_l: f64,
+    /// Capacitor step gain `dt / C` (V per A).
+    dt_over_c: f64,
     /// Inductor current (A).
     i_l: f64,
     /// Die voltage (V).
@@ -87,7 +94,8 @@ impl Pdn {
         let v_die = config.vdd - config.resistance * idle_current_a;
         Pdn {
             config,
-            dt_s,
+            dt_over_l: dt_s / config.inductance,
+            dt_over_c: dt_s / config.capacitance,
             i_l: idle_current_a,
             v_die,
             min_v: f64::INFINITY,
@@ -101,12 +109,11 @@ impl Pdn {
     pub fn step(&mut self, i_load_a: f64) -> f64 {
         // Semi-implicit Euler: current first, then voltage with the new
         // current (symplectic pairing keeps the oscillation energy
-        // bounded).
-        let di = (self.config.vdd - self.config.resistance * self.i_l - self.v_die)
-            / self.config.inductance
-            * self.dt_s;
+        // bounded). di = (vdd − R·i_L − v_die)·dt/L, dv = (i_L − i_load)·dt/C.
+        let di =
+            (self.config.vdd - self.config.resistance * self.i_l - self.v_die) * self.dt_over_l;
         self.i_l += di;
-        let dv = (self.i_l - i_load_a) / self.config.capacitance * self.dt_s;
+        let dv = (self.i_l - i_load_a) * self.dt_over_c;
         self.v_die += dv;
         if self.warmup_remaining > 0 {
             self.warmup_remaining -= 1;

@@ -108,7 +108,14 @@ impl EnergyModel {
     /// Converts a per-cycle energy (picojoules) into supply current (amps)
     /// at voltage `vdd`.
     pub fn cycle_current_a(&self, cycle_energy_pj: f64, vdd: f64) -> f64 {
-        self.cycle_power_w(cycle_energy_pj) / vdd
+        cycle_energy_pj * self.amps_per_pj(vdd)
+    }
+
+    /// Supply current (amps) per picojoule of per-cycle energy at voltage
+    /// `vdd`, i.e. `1e-12 / period / vdd`. Per-cycle loops compute it once
+    /// and multiply, keeping divisions off the PDN's loop-carried chain.
+    pub fn amps_per_pj(&self, vdd: f64) -> f64 {
+        1e-12 / self.period_s / vdd
     }
 
     /// The underlying configuration.

@@ -2,7 +2,7 @@
 //! thermal + PDN, producing a [`RunResult`].
 
 use crate::cache::DataCache;
-use crate::machine::MachineConfig;
+use crate::machine::{MachineConfig, ThermalConfig};
 use crate::pdn::Pdn;
 use crate::pipeline::{BranchResolution, Decoded, Pipeline, PipelineSnapshot};
 use crate::power::EnergyModel;
@@ -149,25 +149,54 @@ struct LaneScratch {
     fps: VecDeque<u64>,
     prev_snap: SteadySnapshot,
     cur_snap: SteadySnapshot,
-    /// Architectural state recycled by the batch path (a reset + refill is
-    /// far cheaper than reallocating the memory buffer). The single-run
-    /// path deliberately ignores the pool and constructs fresh state.
+    /// Architectural state recycled from the previous run through this
+    /// lane (a register reset + memory refill is far cheaper than
+    /// reallocating the memory buffer).
     pooled_state: Option<ArchState>,
-    /// Data cache recycled by the batch path (its per-set allocations
-    /// dominate cold-run setup cost).
+    /// Data cache recycled from the previous run through this lane (its
+    /// per-set allocations dominate cold-run setup cost).
     pooled_cache: Option<DataCache>,
+}
+
+/// Derived values memoized across runs. Each is a deterministic function
+/// of the machine and run configuration, so reusing one cannot perturb a
+/// result; a memo built for other parameters is rebuilt, never reused.
+#[derive(Debug, Default)]
+struct RunMemo {
+    /// Memoized `(mem_bytes, fill_byte) → mem_hash` for initial memory
+    /// images, so only the first run with a fill pattern pays the
+    /// full-image scan.
+    fill_hashes: Vec<(usize, u8, u64)>,
+    /// Memoized thermal hold schedule (per machine + hold duration).
+    thermal: Option<ThermalSchedule>,
+}
+
+/// Returns the memoized thermal hold schedule for `thermal` and `hold_s`,
+/// rebuilding it when the memo was built for other parameters.
+fn memo_schedule(
+    slot: &mut Option<ThermalSchedule>,
+    thermal: ThermalConfig,
+    hold_s: f64,
+) -> &ThermalSchedule {
+    if !matches!(slot, Some(schedule) if schedule.matches(thermal, hold_s)) {
+        *slot = None;
+    }
+    slot.get_or_insert_with(|| ThermalSchedule::new(thermal, hold_s))
 }
 
 /// Reusable per-worker simulation buffers plus fast-path statistics.
 ///
 /// A fresh scratch is allocated internally by [`Simulator::run`]; callers
 /// evaluating many programs (GA workers, benchmarks) should keep one per
-/// thread and use [`Simulator::run_with_scratch`] so decode buffers, the
-/// per-cycle energy waveform, and the steady-state detector's snapshots
-/// are reused across runs instead of reallocated.
+/// thread and use [`Simulator::run_with_scratch`]. The scratch then reuses
+/// decode buffers, the per-cycle energy waveform and the steady-state
+/// detector's snapshots, recycles the architectural state and data cache
+/// of the previous run, and memoizes the fill-pattern memory hash and the
+/// thermal hold schedule. None of this reuse changes any result.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     lane: LaneScratch,
+    memo: RunMemo,
     /// Runs performed through this scratch.
     pub runs: u64,
     /// Runs in which the steady-state detector fired.
@@ -184,18 +213,12 @@ impl SimScratch {
 }
 
 /// Reusable buffers for [`Simulator::run_batch_with_scratch`]: one
-/// [`LaneScratch`] per lane plus batch-shared derived values (fill-pattern
-/// memory hashes, the thermal hold schedule) that are deterministic
-/// functions of the machine and run configuration, so sharing them cannot
-/// perturb any lane's result.
+/// [`LaneScratch`] per lane plus the same run memos a [`SimScratch`]
+/// keeps, shared by every lane.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     lanes: Vec<LaneScratch>,
-    /// Memoized `(mem_bytes, fill_byte) → mem_hash` for initial memory
-    /// images; computed by one full scan, seeded into every other lane.
-    fill_hashes: Vec<(usize, u8, u64)>,
-    /// Memoized thermal hold schedule (per machine + hold duration).
-    thermal: Option<ThermalSchedule>,
+    memo: RunMemo,
     /// Runs performed through this scratch.
     pub runs: u64,
     /// Runs in which the steady-state detector fired.
@@ -275,10 +298,12 @@ impl Simulator {
             .map(|(result, _)| result)
     }
 
-    /// Like [`run`](Simulator::run), reusing the caller's scratch buffers
-    /// across calls — the fast path for workers that evaluate many
-    /// programs. The scratch also accumulates fast-path statistics
-    /// ([`SimScratch::steady_hits`] and friends).
+    /// Like [`run`](Simulator::run), reusing the caller's scratch across
+    /// calls — the fast path for workers that evaluate many programs. The
+    /// scratch pools the previous run's instruments and memoizes derived
+    /// values (see [`SimScratch`]) without changing any result, and
+    /// accumulates fast-path statistics ([`SimScratch::steady_hits`] and
+    /// friends).
     ///
     /// # Errors
     ///
@@ -334,35 +359,83 @@ impl Simulator {
     ) -> Result<(RunResult, Option<Traces>), SimError> {
         self.validate(program)?;
         scratch.runs += 1;
-
-        // The single path deliberately keeps today's per-run behavior:
-        // fresh instruments, full lazy hash maintenance, a per-run thermal
-        // schedule. Only the batch path shares derived values across runs.
-        let mut state = ArchState::new(self.machine.mem_bytes);
-        program.apply_init(&mut state)?;
-        let cache = DataCache::new(self.machine.l1d);
         let energy_model = EnergyModel::new(&self.machine);
-
-        let mut lane = LaneRun::new(
-            &self.machine,
-            program,
-            config,
-            &energy_model,
-            &mut scratch.lane,
-            state,
-            cache,
-        );
+        let SimScratch {
+            lane: lane_scratch,
+            memo: RunMemo {
+                fill_hashes,
+                thermal,
+            },
+            steady_hits,
+            extrapolated_iterations,
+            ..
+        } = scratch;
+        let mut lane =
+            self.setup_lane(program, config, &energy_model, lane_scratch, fill_hashes)?;
         while !lane.halted {
             lane.step_iteration();
         }
         if let Some(error) = lane.error.take() {
             return Err(error);
         }
-        let schedule = ThermalSchedule::new(self.machine.thermal, config.thermal_hold_s);
-        let (result, traces, tally) = lane.finalize(want_traces, &schedule);
-        scratch.steady_hits += tally.steady_hit as u64;
-        scratch.extrapolated_iterations += tally.extrapolated;
+        let schedule = memo_schedule(thermal, self.machine.thermal, config.thermal_hold_s);
+        let (result, traces, tally) = lane.finalize(want_traces, schedule);
+        *steady_hits += tally.steady_hit as u64;
+        *extrapolated_iterations += tally.extrapolated;
         Ok((result, traces))
+    }
+
+    /// Builds one validated program's lane. Recycles the lane's pooled
+    /// instruments where the geometry still matches, and seeds the initial
+    /// memory image's content hash from the fill-pattern memo so only the
+    /// first run with a given fill pattern pays the full-image scan. The
+    /// hash is a pure function of (buffer size, fill byte), so the seeded
+    /// value is exactly what a rescan would have produced.
+    fn setup_lane<'a>(
+        &'a self,
+        program: &'a Program,
+        config: &'a RunConfig,
+        energy_model: &'a EnergyModel,
+        lane_scratch: &'a mut LaneScratch,
+        fill_hashes: &mut Vec<(usize, u8, u64)>,
+    ) -> Result<LaneRun<'a>, SimError> {
+        let mem_bytes = self.machine.mem_bytes;
+        let mut state = match lane_scratch.pooled_state.take() {
+            Some(mut pooled) if pooled.mem_size() == mem_bytes => {
+                // Registers only: `mem_init.apply` below overwrites the
+                // whole memory image, so zeroing it first would be a
+                // wasted pass.
+                pooled.reset_regs();
+                pooled
+            }
+            _ => ArchState::new(mem_bytes),
+        };
+        program.mem_init.apply(&mut state);
+        let fill_byte = program.mem_init.fill_byte();
+        match fill_hashes
+            .iter()
+            .find(|&&(len, byte, _)| len == mem_bytes && byte == fill_byte)
+        {
+            Some(&(_, _, hash)) => state.seed_mem_hash(hash),
+            None => fill_hashes.push((mem_bytes, fill_byte, state.mem_hash())),
+        }
+        program.apply_init_instrs(&mut state)?;
+        let cache = match lane_scratch.pooled_cache.take() {
+            Some(mut pooled) if pooled.config() == self.machine.l1d => {
+                pooled.reset();
+                pooled
+            }
+            _ => DataCache::new(self.machine.l1d),
+        };
+        Ok(LaneRun::new(
+            &self.machine,
+            program,
+            config,
+            energy_model,
+            lane_scratch,
+            state,
+            cache,
+        ))
     }
 
     /// Evaluates a batch of programs in lockstep and returns one result
@@ -389,8 +462,9 @@ impl Simulator {
     /// Like [`run_batch`](Simulator::run_batch), reusing the caller's
     /// scratch across calls — the fast path for workers that evaluate a
     /// generation's candidates in lane-width groups. The scratch pools
-    /// each lane's instruments and memoizes the batch-shared derived
-    /// values, which is where the cold-evaluation speedup comes from.
+    /// each lane's instruments and memoizes the shared derived values,
+    /// exactly as [`run_with_scratch`](Simulator::run_with_scratch) does
+    /// for its single lane.
     pub fn run_batch_with_scratch(
         &self,
         programs: &[Program],
@@ -428,78 +502,25 @@ impl Simulator {
                 .lanes
                 .resize_with(programs.len(), LaneScratch::default);
         }
-        let reusable = match &batch.thermal {
-            Some(schedule) => schedule.matches(self.machine.thermal, config.thermal_hold_s),
-            None => false,
-        };
-        if !reusable {
-            batch.thermal = Some(ThermalSchedule::new(
-                self.machine.thermal,
-                config.thermal_hold_s,
-            ));
-        }
         let energy_model = EnergyModel::new(&self.machine);
         let BatchScratch {
             lanes,
-            fill_hashes,
-            thermal,
+            memo: RunMemo {
+                fill_hashes,
+                thermal,
+            },
             runs,
             steady_hits,
             extrapolated_iterations,
         } = batch;
-        let schedule = thermal.as_ref().expect("schedule built above");
-
-        // Lane setup: recycle pooled instruments where the geometry still
-        // matches, and seed the initial memory image's content hash from
-        // the shared memo so only the first lane with a given fill pattern
-        // pays the full-image scan. The hash is a pure function of
-        // (buffer size, fill byte), so the seeded value is exactly what
-        // the lane's own rescan would have produced.
+        let schedule = memo_schedule(thermal, self.machine.thermal, config.thermal_hold_s);
         let mut slots: Vec<Result<LaneRun<'_>, SimError>> = programs
             .iter()
             .zip(lanes.iter_mut())
             .map(|(program, lane_scratch)| {
                 self.validate(program)?;
                 *runs += 1;
-                let mut state = match lane_scratch.pooled_state.take() {
-                    Some(mut pooled) if pooled.mem_size() == self.machine.mem_bytes => {
-                        // Registers only: `mem_init.apply` below overwrites
-                        // the whole memory image, so zeroing it first would
-                        // be a wasted pass.
-                        pooled.reset_regs();
-                        pooled
-                    }
-                    _ => ArchState::new(self.machine.mem_bytes),
-                };
-                program.mem_init.apply(&mut state);
-                let fill_byte = program.mem_init.fill_byte();
-                match fill_hashes
-                    .iter()
-                    .find(|&&(len, byte, _)| len == self.machine.mem_bytes && byte == fill_byte)
-                {
-                    Some(&(_, _, hash)) => state.seed_mem_hash(hash),
-                    None => {
-                        let hash = state.mem_hash();
-                        fill_hashes.push((self.machine.mem_bytes, fill_byte, hash));
-                    }
-                }
-                program.apply_init_instrs(&mut state)?;
-                let cache = match lane_scratch.pooled_cache.take() {
-                    Some(mut pooled) if pooled.config() == self.machine.l1d => {
-                        pooled.reset();
-                        pooled
-                    }
-                    _ => DataCache::new(self.machine.l1d),
-                };
-                Ok(LaneRun::new(
-                    &self.machine,
-                    program,
-                    config,
-                    &energy_model,
-                    lane_scratch,
-                    state,
-                    cache,
-                ))
+                self.setup_lane(program, config, &energy_model, lane_scratch, fill_hashes)
             })
             .collect();
 
@@ -556,9 +577,10 @@ struct LaneTally {
 }
 
 /// One candidate's complete in-flight execution state — the "lane" of the
-/// structure-of-arrays core. The single-run path drives exactly one of
-/// these to completion; the batch path drives N of them in lockstep, one
-/// [`step_iteration`](LaneRun::step_iteration) per lane per sweep.
+/// simulator core. The single-run path drives exactly one of these to
+/// completion; the batch path drives N of them in lockstep, one
+/// [`step_iteration`](LaneRun::step_iteration) per lane per sweep. Both
+/// build lanes through [`Simulator::setup_lane`].
 struct LaneRun<'a> {
     machine: &'a MachineConfig,
     program: &'a Program,
@@ -952,61 +974,62 @@ impl<'a> LaneRun<'a> {
             .max(1);
         let cycle_energy_pj = &mut scratch.cycle_energy_pj;
         cycle_energy_pj.resize(cycles as usize, 0.0);
+        let len = cycle_energy_pj.len();
 
-        // Add static energy to every cycle and integrate.
+        // One pass over the waveform: add static energy to every cycle,
+        // integrate the total, slide the smoothed-peak window, drive the
+        // PDN (the RLC network) with the per-cycle current and, when
+        // traced, record both waveforms. The PDN step is the pass's
+        // loop-carried chain and the rest runs in its shadow. Every sum
+        // accumulates in cycle order, as a pass of its own would.
         let static_pj = energy_model.static_pj_per_cycle();
+        let window = config.peak_window.max(1).min(len);
+        let mut pdn = machine.pdn.map(|pdn_config| {
+            let idle_current = machine.energy.static_w / pdn_config.vdd;
+            let pdn = Pdn::new(pdn_config, idle_current, 1.0 / machine.clock_hz);
+            (pdn, energy_model.amps_per_pj(pdn_config.vdd))
+        });
+        let mut traces = want_traces.then(|| Traces {
+            power_w: Vec::with_capacity(len),
+            voltage_v: Vec::with_capacity(if pdn.is_some() { len } else { 0 }),
+        });
         let mut total_pj = 0.0;
-        for slot in cycle_energy_pj.iter_mut() {
-            *slot += static_pj;
-            total_pj += *slot;
+        let mut window_sum = 0.0;
+        let mut peak_sum = f64::NEG_INFINITY;
+        for i in 0..len {
+            let pj = cycle_energy_pj[i] + static_pj;
+            cycle_energy_pj[i] = pj;
+            total_pj += pj;
+            if i < window {
+                window_sum += pj;
+            } else {
+                window_sum += pj - cycle_energy_pj[i - window];
+            }
+            if i + 1 >= window {
+                peak_sum = peak_sum.max(window_sum);
+            }
+            let v = pdn
+                .as_mut()
+                .map(|(pdn, amps_per_pj)| pdn.step(pj * *amps_per_pj));
+            if let Some(traces) = traces.as_mut() {
+                traces.power_w.push(energy_model.cycle_power_w(pj) as f32);
+                if let Some(v) = v {
+                    traces.voltage_v.push(v as f32);
+                }
+            }
         }
         let avg_power_w = energy_model.cycle_power_w(total_pj / cycles as f64);
         let chip_power_w = machine.cores as f64 * avg_power_w + machine.uncore_w;
-
-        // Smoothed peak power.
-        let window = config.peak_window.max(1).min(cycle_energy_pj.len());
-        let mut window_sum: f64 = cycle_energy_pj[..window].iter().sum();
-        let mut peak_sum = window_sum;
-        for i in window..cycle_energy_pj.len() {
-            window_sum += cycle_energy_pj[i] - cycle_energy_pj[i - window];
-            peak_sum = peak_sum.max(window_sum);
-        }
         let peak_power_w = energy_model.cycle_power_w(peak_sum / window as f64);
+        let voltage = pdn.map(|(pdn, _)| pdn.stats());
 
         // Thermal: hold the measured whole-chip power on the RC model (the
         // paper's temperature experiments run a virus instance on every
         // core and read the chip sensor). The precomputed schedule replays
-        // `ThermalModel::hold` bit-identically; batches share one schedule
+        // `ThermalModel::hold` bit-identically; it is memoized across runs
         // because it depends only on the machine and the hold duration.
         let temperature_c = schedule.hold_from_ambient(chip_power_w);
         let steady_temp_c = machine.thermal.steady_state_c(chip_power_w);
-
-        // PDN: drive the RLC network with the per-cycle current waveform.
-        let mut voltage_trace = Vec::new();
-        let voltage = machine.pdn.map(|pdn_config| {
-            let dt = 1.0 / machine.clock_hz;
-            let idle_current = machine.energy.static_w / pdn_config.vdd;
-            let mut pdn = Pdn::new(pdn_config, idle_current, dt);
-            if want_traces {
-                voltage_trace.reserve(cycle_energy_pj.len());
-            }
-            for &pj in cycle_energy_pj.iter() {
-                let current = energy_model.cycle_current_a(pj, pdn_config.vdd);
-                let v = pdn.step(current);
-                if want_traces {
-                    voltage_trace.push(v as f32);
-                }
-            }
-            pdn.stats()
-        });
-
-        let traces = want_traces.then(|| Traces {
-            power_w: cycle_energy_pj
-                .iter()
-                .map(|&pj| energy_model.cycle_power_w(pj) as f32)
-                .collect(),
-            voltage_v: voltage_trace,
-        });
 
         // Fold the synthesized iterations' hit/miss outcomes into the
         // instrument counters. With no replay the extras are zero and the
@@ -1039,8 +1062,8 @@ impl<'a> LaneRun<'a> {
             class_counts,
         };
 
-        // Return the instruments to the pool; the batch path recycles
-        // them (reset + refill) instead of reallocating next run.
+        // Return the instruments to the pool; the next run through this
+        // lane recycles them (reset + refill) instead of reallocating.
         scratch.pooled_state = Some(state);
         scratch.pooled_cache = Some(cache);
 
@@ -1339,19 +1362,52 @@ mod tests {
 
     #[test]
     fn scratch_reuse_across_programs_stays_clean() {
-        let simulator = Simulator::new(MachineConfig::xgene2());
+        // One scratch across every preset (memory sizes and L1 geometries
+        // differ, invalidating the pooled state and cache), two memory
+        // fill patterns (the fill-hash memo) and two hold durations (the
+        // thermal memo). Every run, traced or not, must be field-identical
+        // to a fresh run.
         let mut scratch = SimScratch::new();
         let bodies = ["ADD x1, x2, x3", "FMUL v0, v1, v2\nLDR x1, [x10, #8]"];
-        for body in bodies {
-            let program =
-                Template::default_stress().materialize("r", asm::parse_block(body).unwrap());
-            let reused = simulator
-                .run_with_scratch(&program, &RunConfig::quick(), &mut scratch)
-                .unwrap();
-            let fresh = simulator.run(&program, &RunConfig::quick()).unwrap();
-            assert_eq!(reused, fresh, "{body:?}");
+        let programs: Vec<Program> = bodies
+            .iter()
+            .flat_map(|body| {
+                let body = asm::parse_block(body).unwrap();
+                [
+                    Template::default_stress().materialize("r", body.clone()),
+                    Program::from_body("zero-fill", body),
+                ]
+            })
+            .collect();
+        let mut runs = 0;
+        for machine in MachineConfig::all_presets() {
+            let simulator = Simulator::new(machine);
+            for thermal_hold_s in [RunConfig::quick().thermal_hold_s, 0.5] {
+                let config = RunConfig {
+                    thermal_hold_s,
+                    ..RunConfig::quick()
+                };
+                for program in &programs {
+                    let label = format!(
+                        "{} / {} / hold {thermal_hold_s}",
+                        simulator.machine().name,
+                        program.name
+                    );
+                    let reused = simulator
+                        .run_with_scratch(program, &config, &mut scratch)
+                        .unwrap();
+                    assert_eq!(reused, simulator.run(program, &config).unwrap(), "{label}");
+                    let (traced, traces) = simulator
+                        .run_inner(program, &config, true, &mut scratch)
+                        .unwrap();
+                    let (fresh, fresh_traces) = simulator.run_traced(program, &config).unwrap();
+                    assert_eq!(traced, fresh, "traced {label}");
+                    assert_eq!(traces, Some(fresh_traces), "traces {label}");
+                    runs += 2;
+                }
+            }
         }
-        assert_eq!(scratch.runs, 2);
+        assert_eq!(scratch.runs, runs);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! timing, power, and PDN models must uphold their physical invariants.
 
 use gest_isa::{asm, Program, Template};
-use gest_sim::{BatchScratch, MachineConfig, Pdn, RunConfig, Simulator};
+use gest_sim::{BatchScratch, MachineConfig, Pdn, PdnConfig, RunConfig, Simulator};
 use proptest::prelude::*;
 
 /// A strategy over small loop bodies drawn from a safe instruction menu.
@@ -28,19 +28,47 @@ fn body_strategy() -> impl Strategy<Value = Vec<String>> {
     prop::collection::vec(menu.prop_map(str::to_owned), 1..32)
 }
 
+/// The PDN integrator in its textbook division form — `(…)/L·dt` and
+/// `(…)/C·dt` on every step — as the reference the division-free
+/// [`Pdn::step`] must track.
+struct DivisionPdn {
+    config: PdnConfig,
+    dt_s: f64,
+    i_l: f64,
+    v_die: f64,
+}
+
+impl DivisionPdn {
+    fn new(config: PdnConfig, idle_current_a: f64, dt_s: f64) -> DivisionPdn {
+        DivisionPdn {
+            config,
+            dt_s,
+            i_l: idle_current_a,
+            v_die: config.vdd - config.resistance * idle_current_a,
+        }
+    }
+
+    fn step(&mut self, i_load_a: f64) -> f64 {
+        let c = self.config;
+        self.i_l += (c.vdd - c.resistance * self.i_l - self.v_die) / c.inductance * self.dt_s;
+        self.v_die += (self.i_l - i_load_a) / c.capacitance * self.dt_s;
+        self.v_die
+    }
+}
+
+/// The short run window every property below simulates.
+fn config() -> RunConfig {
+    RunConfig {
+        max_iterations: 40,
+        max_cycles: 3000,
+        ..RunConfig::default()
+    }
+}
+
 fn run(machine: MachineConfig, lines: &[String]) -> gest_sim::RunResult {
     let body = asm::parse_block(&lines.join("\n")).unwrap();
     let program: Program = Template::default_stress().materialize("prop", body);
-    Simulator::new(machine)
-        .run(
-            &program,
-            &RunConfig {
-                max_iterations: 40,
-                max_cycles: 3000,
-                ..RunConfig::default()
-            },
-        )
-        .unwrap()
+    Simulator::new(machine).run(&program, &config()).unwrap()
 }
 
 proptest! {
@@ -48,9 +76,15 @@ proptest! {
 
     #[test]
     fn physical_invariants_hold(lines in body_strategy()) {
-        for machine in [MachineConfig::cortex_a15(), MachineConfig::cortex_a7()] {
-            let result = run(machine.clone(), &lines);
-            // IPC can never exceed the machine width.
+        let body = asm::parse_block(&lines.join("\n")).unwrap();
+        let program: Program = Template::default_stress().materialize("prop", body);
+        for machine in MachineConfig::all_presets() {
+            let (result, traces) = Simulator::new(machine.clone())
+                .run_traced(&program, &config())
+                .unwrap();
+            // IPC is instructions per cycle and can never exceed the
+            // machine width.
+            prop_assert_eq!(result.ipc, result.instructions as f64 / result.cycles as f64);
             prop_assert!(result.ipc <= machine.max_ipc() + 1e-9, "ipc {}", result.ipc);
             prop_assert!(result.ipc > 0.0);
             // Power is at least static, and finite.
@@ -63,7 +97,19 @@ proptest! {
             // Energy = avg power × time.
             let time_s = result.cycles as f64 / machine.clock_hz;
             prop_assert!((result.energy_j - result.avg_power_w * time_s).abs()
-                <= 1e-6 * result.energy_j.max(1e-12));
+                <= 1e-9 * result.energy_j.max(1e-12));
+            // The traced power waveform averages to the reported power, up
+            // to each sample's f32 rounding (relative 2^-24).
+            prop_assert_eq!(traces.power_w.len() as u64, result.cycles);
+            let traced_mean = traces.power_w.iter().map(|&p| f64::from(p)).sum::<f64>()
+                / result.cycles as f64;
+            prop_assert!(
+                (traced_mean - result.avg_power_w).abs() <= 1e-6 * result.avg_power_w,
+                "traced mean {traced_mean} vs avg power {}",
+                result.avg_power_w
+            );
+            // Class counts partition the retired instructions.
+            prop_assert_eq!(result.class_counts.iter().sum::<u64>(), result.instructions);
             // Branch accuracy is a probability.
             prop_assert!((0.0..=1.0).contains(&result.branch_accuracy));
         }
@@ -216,6 +262,36 @@ proptest! {
         let result = run(MachineConfig::xgene2(), &lines);
         let total: u64 = result.class_counts.iter().sum();
         prop_assert_eq!(total, result.instructions);
+    }
+
+    #[test]
+    fn division_free_pdn_tracks_division_form(
+        idle in 0.0f64..30.0,
+        currents in prop::collection::vec(0.0f64..60.0, 64..4096),
+    ) {
+        // Folding dt/L and dt/C into step gains may only move voltages in
+        // their trailing ulps, over a whole candidate's worth of cycles.
+        let machine = MachineConfig::athlon_x4();
+        let config = machine.pdn.unwrap();
+        let dt = 1.0 / machine.clock_hz;
+        let mut pdn = Pdn::new(config, idle, dt);
+        let mut reference = DivisionPdn::new(config, idle, dt);
+        let (mut min_v, mut max_v) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (cycle, &i) in currents.iter().enumerate() {
+            let v = pdn.step(i);
+            let v_ref = reference.step(i);
+            prop_assert!(
+                (v - v_ref).abs() <= 1e-12 * v_ref.abs(),
+                "cycle {cycle}: {v} vs division form {v_ref}"
+            );
+            if cycle >= Pdn::DEFAULT_WARMUP_STEPS as usize {
+                min_v = min_v.min(v_ref);
+                max_v = max_v.max(v_ref);
+            }
+        }
+        let stats = pdn.stats();
+        prop_assert!((stats.min_v - min_v).abs() <= 1e-12 * min_v.abs());
+        prop_assert!((stats.max_v - max_v).abs() <= 1e-12 * max_v.abs());
     }
 
     #[test]
