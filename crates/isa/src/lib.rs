@@ -9,7 +9,8 @@
 //! * [`Reg`]/[`VReg`] — integer and vector register files,
 //! * [`Opcode`]/[`Instruction`] — an ARM-flavoured instruction set with
 //!   short/long integer, scalar FP, SIMD, memory and branch instructions,
-//! * [`ArchState`]/[`Effect`] — functional execution semantics, including
+//! * [`ArchState`]/[`Effect`]/[`MicroOp`] — functional execution semantics
+//!   (instructions lower once to infallible micro-ops for hot loops), including
 //!   per-instruction bit-toggle accounting that the power model consumes,
 //! * [`InstructionDef`]/[`OperandDef`]/[`InstructionPool`] — the GA search
 //!   space exactly as the paper's XML schema describes it (Figure 4),
@@ -57,5 +58,5 @@ pub use instruction::{Instruction, Operand};
 pub use opcode::{InstrClass, Opcode, OperandSlot};
 pub use program::{MemInit, Program};
 pub use reg::{Reg, VReg};
-pub use semantics::{ArchState, Effect, Flow, MemAccess};
+pub use semantics::{ArchState, Effect, Flow, MemAccess, MicroOp};
 pub use template::Template;

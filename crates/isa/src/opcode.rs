@@ -34,6 +34,12 @@ impl InstrClass {
         InstrClass::Nop,
     ];
 
+    /// This class's position in [`InstrClass::ALL`] (the declaration
+    /// order), without scanning it.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Short label used in tables (matches the paper's column headers).
     pub fn label(self) -> &'static str {
         match self {
@@ -231,6 +237,13 @@ impl fmt::Display for Opcode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn class_index_is_position_in_all() {
+        for (i, class) in InstrClass::ALL.iter().enumerate() {
+            assert_eq!(class.index(), i, "{class:?}");
+        }
+    }
 
     #[test]
     fn mnemonic_round_trip() {

@@ -256,30 +256,35 @@ impl ArchState {
         (raw & (self.mem.len() - 1)) & !(width - 1)
     }
 
-    fn load(&self, addr: usize, width: usize) -> u64 {
-        let mut value = 0u64;
-        for i in 0..width.min(8) {
-            value |= (self.mem[addr + i] as u64) << (8 * i);
-        }
-        value
+    /// Reads the little-endian 64-bit word at `addr` (in bounds: `addr`
+    /// comes from [`mem_addr`](Self::mem_addr) with width 8 or 16).
+    fn load(&self, addr: usize) -> u64 {
+        let bytes = &self.mem[addr..addr + 8];
+        u64::from_le_bytes(bytes.try_into().expect("8-byte slice"))
     }
 
-    fn store(&mut self, addr: usize, width: usize, value: u64) -> u32 {
-        let mut toggles = 0u32;
-        let mut hash_delta = 0u64;
-        for i in 0..width.min(8) {
-            let new = (value >> (8 * i)) as u8;
-            let old = self.mem[addr + i];
-            toggles += (old ^ new).count_ones();
-            if old != new {
-                hash_delta ^= mem_byte_mix(addr + i, old) ^ mem_byte_mix(addr + i, new);
-                self.mem[addr + i] = new;
+    /// Writes the little-endian 64-bit word at `addr` and returns how many
+    /// bits flipped. The content hash takes one XOR pair per changed byte,
+    /// so it stays equal to a full rescan.
+    fn store(&mut self, addr: usize, value: u64) -> u32 {
+        let bytes: &mut [u8; 8] = (&mut self.mem[addr..addr + 8])
+            .try_into()
+            .expect("8-byte slice");
+        let old = u64::from_le_bytes(*bytes);
+        let diff = old ^ value;
+        if diff != 0 {
+            *bytes = value.to_le_bytes();
+            let mut hash_delta = 0u64;
+            for i in 0..8 {
+                let (old_byte, new_byte) = ((old >> (8 * i)) as u8, (value >> (8 * i)) as u8);
+                if old_byte != new_byte {
+                    hash_delta ^=
+                        mem_byte_mix(addr + i, old_byte) ^ mem_byte_mix(addr + i, new_byte);
+                }
             }
-        }
-        if hash_delta != 0 {
             self.mem_hash.set(self.mem_hash.get() ^ hash_delta);
         }
-        toggles
+        diff.count_ones()
     }
 }
 
@@ -287,60 +292,79 @@ impl ArchState {
 /// templates to maximize bit switching.
 pub const CHECKERBOARD: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 
-struct Ops<'a> {
-    instr: &'a Instruction,
+/// An [`Instruction`] lowered for execution: its operands resolved once
+/// to raw register indices, immediates and a branch distance, so
+/// [`execute`](MicroOp::execute) neither re-validates operands nor can
+/// fail. Hot loops lower each static instruction once and execute the
+/// micro-op per dynamic instance; [`Instruction::execute`] lowers on the
+/// fly, so both run the same semantics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MicroOp {
+    opcode: Opcode,
+    /// Register operands by operand position: an integer or vector
+    /// register index, as the opcode's slot says. Other positions are 0.
+    regs: [u8; 4],
+    /// Forward branch distance (branches only).
+    target: u8,
+    /// Immediate operands, in operand order.
+    imm: [i64; 2],
 }
 
-impl<'a> Ops<'a> {
-    fn reg(&self, i: usize) -> Result<Reg, ExecError> {
-        match self.instr.operands().get(i) {
-            Some(Operand::Reg(r)) => Ok(*r),
-            _ => Err(ExecError::MalformedInstruction {
-                opcode: self.instr.opcode(),
-            }),
-        }
-    }
-
-    fn vreg(&self, i: usize) -> Result<VReg, ExecError> {
-        match self.instr.operands().get(i) {
-            Some(Operand::VReg(v)) => Ok(*v),
-            _ => Err(ExecError::MalformedInstruction {
-                opcode: self.instr.opcode(),
-            }),
-        }
-    }
-
-    fn imm(&self, i: usize) -> Result<i64, ExecError> {
-        match self.instr.operands().get(i) {
-            Some(Operand::Imm(v)) => Ok(*v),
-            _ => Err(ExecError::MalformedInstruction {
-                opcode: self.instr.opcode(),
-            }),
-        }
-    }
-
-    fn target(&self, i: usize) -> Result<u8, ExecError> {
-        match self.instr.operands().get(i) {
-            Some(Operand::Target(t)) => Ok(*t),
-            _ => Err(ExecError::MalformedInstruction {
-                opcode: self.instr.opcode(),
-            }),
-        }
-    }
-}
+// Register indices are masked into range on every access, which both
+// keeps out-of-range indices impossible and lets the compiler drop the
+// register-file bounds checks; that needs power-of-two register files.
+const _: () = assert!(NUM_INT_REGS.is_power_of_two() && NUM_VEC_REGS.is_power_of_two());
 
 fn hamming(a: u64, b: u64) -> u32 {
     (a ^ b).count_ones()
 }
 
 impl Instruction {
+    /// Lowers this instruction to a [`MicroOp`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// use gest_isa::{asm, ArchState, Reg};
+    /// let op = asm::parse_line("ADDI x1, x1, #5")?.unwrap().lower();
+    /// let mut state = ArchState::new(64);
+    /// op.execute(&mut state);
+    /// op.execute(&mut state);
+    /// assert_eq!(state.reg(Reg::new(1)?), 10);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn lower(&self) -> MicroOp {
+        let mut op = MicroOp {
+            opcode: self.opcode(),
+            regs: [0; 4],
+            target: 0,
+            imm: [0; 2],
+        };
+        let mut imms = 0;
+        for (i, &operand) in self.operands().iter().enumerate() {
+            match operand {
+                Operand::Reg(r) => op.regs[i] = r.index(),
+                Operand::VReg(v) => op.regs[i] = v.index(),
+                Operand::Imm(v) => {
+                    op.imm[imms] = v;
+                    imms += 1;
+                }
+                Operand::Target(t) => op.target = t,
+            }
+        }
+        op
+    }
+
     /// Executes this instruction against `state`.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::MalformedInstruction`] only if the instruction
-    /// was constructed without validation (impossible through the public
-    /// API).
+    /// None: instructions are validated on construction, so execution
+    /// cannot fail. The `Result` is kept for API compatibility; hot loops
+    /// should [`lower`](Instruction::lower) once and call
+    /// [`MicroOp::execute`] instead.
     ///
     /// # Examples
     ///
@@ -355,134 +379,137 @@ impl Instruction {
     /// # }
     /// ```
     pub fn execute(&self, state: &mut ArchState) -> Result<Effect, ExecError> {
-        let ops = Ops { instr: self };
+        Ok(self.lower().execute(state))
+    }
+}
+
+impl MicroOp {
+    /// Integer register index of operand `i`.
+    #[inline(always)]
+    fn x(&self, i: usize) -> usize {
+        usize::from(self.regs[i] & (NUM_INT_REGS - 1))
+    }
+
+    /// Vector register index of operand `i`.
+    #[inline(always)]
+    fn v(&self, i: usize) -> usize {
+        usize::from(self.regs[i] & (NUM_VEC_REGS - 1))
+    }
+
+    /// Integer three-operand helper: dst = f(a, b).
+    #[inline(always)]
+    fn int3(&self, state: &mut ArchState, effect: &mut Effect, f: impl Fn(u64, u64) -> u64) {
+        let dst = self.x(0);
+        let a = state.xregs[self.x(1)];
+        let b = state.xregs[self.x(2)];
+        let result = f(a, b);
+        effect.src_bits = a.count_ones() + b.count_ones();
+        effect.dest_toggles = hamming(state.xregs[dst], result);
+        state.xregs[dst] = result;
+    }
+
+    /// Integer reg+imm helper: dst = f(a, imm).
+    #[inline(always)]
+    fn int_imm(&self, state: &mut ArchState, effect: &mut Effect, f: impl Fn(u64, i64) -> u64) {
+        let dst = self.x(0);
+        let a = state.xregs[self.x(1)];
+        let result = f(a, self.imm[0]);
+        effect.src_bits = a.count_ones();
+        effect.dest_toggles = hamming(state.xregs[dst], result);
+        state.xregs[dst] = result;
+    }
+
+    /// Scalar FP helper on lane 0: dst = f(a, b) with lane 1 preserved.
+    #[inline(always)]
+    fn fp2(&self, state: &mut ArchState, effect: &mut Effect, f: impl Fn(f64, f64) -> f64) {
+        let dst = self.v(0);
+        let a = state.vregs[self.v(1)];
+        let b = state.vregs[self.v(2)];
+        let result = sanitize(f(f64::from_bits(a[0]), f64::from_bits(b[0])));
+        let old = state.vregs[dst];
+        let new = [result.to_bits(), old[1]];
+        effect.src_bits = a[0].count_ones() + b[0].count_ones();
+        effect.dest_toggles = hamming(old[0], new[0]);
+        state.vregs[dst] = new;
+    }
+
+    /// SIMD lane-wise integer helper.
+    #[inline(always)]
+    fn simd3(&self, state: &mut ArchState, effect: &mut Effect, f: impl Fn(u64, u64) -> u64) {
+        let dst = self.v(0);
+        let a = state.vregs[self.v(1)];
+        let b = state.vregs[self.v(2)];
+        let old = state.vregs[dst];
+        let new = [f(a[0], b[0]), f(a[1], b[1])];
+        effect.src_bits =
+            a[0].count_ones() + a[1].count_ones() + b[0].count_ones() + b[1].count_ones();
+        effect.dest_toggles = hamming(old[0], new[0]) + hamming(old[1], new[1]);
+        state.vregs[dst] = new;
+    }
+
+    /// SIMD lane-wise FP helper.
+    #[inline(always)]
+    fn simd_fp(&self, state: &mut ArchState, effect: &mut Effect, f: impl Fn(f64, f64) -> f64) {
+        let dst = self.v(0);
+        let a = state.vregs[self.v(1)];
+        let b = state.vregs[self.v(2)];
+        let old = state.vregs[dst];
+        let new = [
+            sanitize(f(f64::from_bits(a[0]), f64::from_bits(b[0]))).to_bits(),
+            sanitize(f(f64::from_bits(a[1]), f64::from_bits(b[1]))).to_bits(),
+        ];
+        effect.src_bits =
+            a[0].count_ones() + a[1].count_ones() + b[0].count_ones() + b[1].count_ones();
+        effect.dest_toggles = hamming(old[0], new[0]) + hamming(old[1], new[1]);
+        state.vregs[dst] = new;
+    }
+
+    /// Executes this micro-op against `state`. Infallible: the operands
+    /// were resolved by [`Instruction::lower`].
+    #[inline]
+    pub fn execute(&self, state: &mut ArchState) -> Effect {
         let mut effect = Effect::default();
-
-        // Integer three-operand helper: dst = f(a, b).
-        let int3 = |state: &mut ArchState,
-                    effect: &mut Effect,
-                    f: fn(u64, u64) -> u64|
-         -> Result<(), ExecError> {
-            let dst = ops.reg(0)?;
-            let a = state.reg(ops.reg(1)?);
-            let b = state.reg(ops.reg(2)?);
-            let result = f(a, b);
-            effect.src_bits = a.count_ones() + b.count_ones();
-            effect.dest_toggles = hamming(state.reg(dst), result);
-            state.set_reg(dst, result);
-            Ok(())
-        };
-
-        // Integer reg+imm helper: dst = f(a, imm).
-        let int_imm = |state: &mut ArchState,
-                       effect: &mut Effect,
-                       f: fn(u64, i64) -> u64|
-         -> Result<(), ExecError> {
-            let dst = ops.reg(0)?;
-            let a = state.reg(ops.reg(1)?);
-            let imm = ops.imm(2)?;
-            let result = f(a, imm);
-            effect.src_bits = a.count_ones();
-            effect.dest_toggles = hamming(state.reg(dst), result);
-            state.set_reg(dst, result);
-            Ok(())
-        };
-
-        // Scalar FP helper on lane 0: dst = f(a, b) with lane 1 preserved.
-        let fp2 = |state: &mut ArchState,
-                   effect: &mut Effect,
-                   f: fn(f64, f64) -> f64|
-         -> Result<(), ExecError> {
-            let dst = ops.vreg(0)?;
-            let a = state.vreg(ops.vreg(1)?);
-            let b = state.vreg(ops.vreg(2)?);
-            let result = sanitize(f(f64::from_bits(a[0]), f64::from_bits(b[0])));
-            let old = state.vreg(dst);
-            let new = [result.to_bits(), old[1]];
-            effect.src_bits = a[0].count_ones() + b[0].count_ones();
-            effect.dest_toggles = hamming(old[0], new[0]);
-            state.set_vreg(dst, new);
-            Ok(())
-        };
-
-        // SIMD lane-wise integer helper.
-        let simd3 = |state: &mut ArchState,
-                     effect: &mut Effect,
-                     f: fn(u64, u64) -> u64|
-         -> Result<(), ExecError> {
-            let dst = ops.vreg(0)?;
-            let a = state.vreg(ops.vreg(1)?);
-            let b = state.vreg(ops.vreg(2)?);
-            let old = state.vreg(dst);
-            let new = [f(a[0], b[0]), f(a[1], b[1])];
-            effect.src_bits =
-                a[0].count_ones() + a[1].count_ones() + b[0].count_ones() + b[1].count_ones();
-            effect.dest_toggles = hamming(old[0], new[0]) + hamming(old[1], new[1]);
-            state.set_vreg(dst, new);
-            Ok(())
-        };
-
-        // SIMD lane-wise FP helper.
-        let simd_fp = |state: &mut ArchState,
-                       effect: &mut Effect,
-                       f: fn(f64, f64) -> f64|
-         -> Result<(), ExecError> {
-            let dst = ops.vreg(0)?;
-            let a = state.vreg(ops.vreg(1)?);
-            let b = state.vreg(ops.vreg(2)?);
-            let old = state.vreg(dst);
-            let new = [
-                sanitize(f(f64::from_bits(a[0]), f64::from_bits(b[0]))).to_bits(),
-                sanitize(f(f64::from_bits(a[1]), f64::from_bits(b[1]))).to_bits(),
-            ];
-            effect.src_bits =
-                a[0].count_ones() + a[1].count_ones() + b[0].count_ones() + b[1].count_ones();
-            effect.dest_toggles = hamming(old[0], new[0]) + hamming(old[1], new[1]);
-            state.set_vreg(dst, new);
-            Ok(())
-        };
-
-        match self.opcode() {
-            Opcode::Add => int3(state, &mut effect, u64::wrapping_add)?,
-            Opcode::Sub => int3(state, &mut effect, u64::wrapping_sub)?,
-            Opcode::And => int3(state, &mut effect, |a, b| a & b)?,
-            Opcode::Orr => int3(state, &mut effect, |a, b| a | b)?,
-            Opcode::Eor => int3(state, &mut effect, |a, b| a ^ b)?,
-            Opcode::Addi => int_imm(state, &mut effect, |a, i| a.wrapping_add(i as u64))?,
-            Opcode::Subi => int_imm(state, &mut effect, |a, i| a.wrapping_sub(i as u64))?,
-            Opcode::Lsl => int_imm(state, &mut effect, |a, i| a << (i as u32 & 63))?,
-            Opcode::Lsr => int_imm(state, &mut effect, |a, i| a >> (i as u32 & 63))?,
-            Opcode::Asr => int_imm(state, &mut effect, |a, i| {
+        match self.opcode {
+            Opcode::Add => self.int3(state, &mut effect, u64::wrapping_add),
+            Opcode::Sub => self.int3(state, &mut effect, u64::wrapping_sub),
+            Opcode::And => self.int3(state, &mut effect, |a, b| a & b),
+            Opcode::Orr => self.int3(state, &mut effect, |a, b| a | b),
+            Opcode::Eor => self.int3(state, &mut effect, |a, b| a ^ b),
+            Opcode::Addi => self.int_imm(state, &mut effect, |a, i| a.wrapping_add(i as u64)),
+            Opcode::Subi => self.int_imm(state, &mut effect, |a, i| a.wrapping_sub(i as u64)),
+            Opcode::Lsl => self.int_imm(state, &mut effect, |a, i| a << (i as u32 & 63)),
+            Opcode::Lsr => self.int_imm(state, &mut effect, |a, i| a >> (i as u32 & 63)),
+            Opcode::Asr => self.int_imm(state, &mut effect, |a, i| {
                 ((a as i64) >> (i as u32 & 63)) as u64
-            })?,
+            }),
             Opcode::Mov => {
-                let dst = ops.reg(0)?;
-                let a = state.reg(ops.reg(1)?);
+                let dst = self.x(0);
+                let a = state.xregs[self.x(1)];
                 effect.src_bits = a.count_ones();
-                effect.dest_toggles = hamming(state.reg(dst), a);
-                state.set_reg(dst, a);
+                effect.dest_toggles = hamming(state.xregs[dst], a);
+                state.xregs[dst] = a;
             }
             Opcode::Movi => {
-                let dst = ops.reg(0)?;
-                let value = ops.imm(1)? as u64;
-                effect.dest_toggles = hamming(state.reg(dst), value);
-                state.set_reg(dst, value);
+                let dst = self.x(0);
+                let value = self.imm[0] as u64;
+                effect.dest_toggles = hamming(state.xregs[dst], value);
+                state.xregs[dst] = value;
             }
-            Opcode::Mul => int3(state, &mut effect, u64::wrapping_mul)?,
-            Opcode::Smulh => int3(state, &mut effect, |a, b| {
+            Opcode::Mul => self.int3(state, &mut effect, u64::wrapping_mul),
+            Opcode::Smulh => self.int3(state, &mut effect, |a, b| {
                 (((a as i64 as i128) * (b as i64 as i128)) >> 64) as u64
-            })?,
+            }),
             Opcode::Mla => {
-                let dst = ops.reg(0)?;
-                let a = state.reg(ops.reg(1)?);
-                let b = state.reg(ops.reg(2)?);
-                let c = state.reg(ops.reg(3)?);
+                let dst = self.x(0);
+                let a = state.xregs[self.x(1)];
+                let b = state.xregs[self.x(2)];
+                let c = state.xregs[self.x(3)];
                 let result = a.wrapping_mul(b).wrapping_add(c);
                 effect.src_bits = a.count_ones() + b.count_ones() + c.count_ones();
-                effect.dest_toggles = hamming(state.reg(dst), result);
-                state.set_reg(dst, result);
+                effect.dest_toggles = hamming(state.xregs[dst], result);
+                state.xregs[dst] = result;
             }
-            Opcode::Sdiv => int3(state, &mut effect, |a, b| {
+            Opcode::Sdiv => self.int3(state, &mut effect, |a, b| {
                 let (a, b) = (a as i64, b as i64);
                 if b == 0 {
                     0
@@ -491,44 +518,44 @@ impl Instruction {
                 } else {
                     (a / b) as u64
                 }
-            })?,
-            Opcode::Udiv => int3(state, &mut effect, |a, b| a.checked_div(b).unwrap_or(0))?,
-            Opcode::Fadd => fp2(state, &mut effect, |a, b| a + b)?,
-            Opcode::Fsub => fp2(state, &mut effect, |a, b| a - b)?,
-            Opcode::Fmul => fp2(state, &mut effect, |a, b| a * b)?,
-            Opcode::Fdiv => fp2(state, &mut effect, |a, b| a / b)?,
+            }),
+            Opcode::Udiv => self.int3(state, &mut effect, |a, b| a.checked_div(b).unwrap_or(0)),
+            Opcode::Fadd => self.fp2(state, &mut effect, |a, b| a + b),
+            Opcode::Fsub => self.fp2(state, &mut effect, |a, b| a - b),
+            Opcode::Fmul => self.fp2(state, &mut effect, |a, b| a * b),
+            Opcode::Fdiv => self.fp2(state, &mut effect, |a, b| a / b),
             Opcode::Fmla => {
                 // dst = dst + a * b (fused multiply-add accumulating in dst).
-                let dst = ops.vreg(0)?;
-                let a = state.vreg(ops.vreg(1)?);
-                let b = state.vreg(ops.vreg(2)?);
-                let old = state.vreg(dst);
+                let dst = self.v(0);
+                let a = state.vregs[self.v(1)];
+                let b = state.vregs[self.v(2)];
+                let old = state.vregs[dst];
                 let result = sanitize(
                     f64::from_bits(a[0]).mul_add(f64::from_bits(b[0]), f64::from_bits(old[0])),
                 );
                 effect.src_bits = a[0].count_ones() + b[0].count_ones() + old[0].count_ones();
                 let new = [result.to_bits(), old[1]];
                 effect.dest_toggles = hamming(old[0], new[0]);
-                state.set_vreg(dst, new);
+                state.vregs[dst] = new;
             }
             Opcode::Fsqrt => {
-                let dst = ops.vreg(0)?;
-                let a = state.vreg(ops.vreg(1)?);
+                let dst = self.v(0);
+                let a = state.vregs[self.v(1)];
                 let result = sanitize(f64::from_bits(a[0]).sqrt());
-                let old = state.vreg(dst);
+                let old = state.vregs[dst];
                 let new = [result.to_bits(), old[1]];
                 effect.src_bits = a[0].count_ones();
                 effect.dest_toggles = hamming(old[0], new[0]);
-                state.set_vreg(dst, new);
+                state.vregs[dst] = new;
             }
-            Opcode::Vadd => simd3(state, &mut effect, u64::wrapping_add)?,
-            Opcode::Vsub => simd3(state, &mut effect, u64::wrapping_sub)?,
-            Opcode::Vmul => simd3(state, &mut effect, u64::wrapping_mul)?,
+            Opcode::Vadd => self.simd3(state, &mut effect, u64::wrapping_add),
+            Opcode::Vsub => self.simd3(state, &mut effect, u64::wrapping_sub),
+            Opcode::Vmul => self.simd3(state, &mut effect, u64::wrapping_mul),
             Opcode::Vmla => {
-                let dst = ops.vreg(0)?;
-                let a = state.vreg(ops.vreg(1)?);
-                let b = state.vreg(ops.vreg(2)?);
-                let old = state.vreg(dst);
+                let dst = self.v(0);
+                let a = state.vregs[self.v(1)];
+                let b = state.vregs[self.v(2)];
+                let old = state.vregs[dst];
                 let new = [
                     old[0].wrapping_add(a[0].wrapping_mul(b[0])),
                     old[1].wrapping_add(a[1].wrapping_mul(b[1])),
@@ -536,17 +563,17 @@ impl Instruction {
                 effect.src_bits =
                     a[0].count_ones() + a[1].count_ones() + b[0].count_ones() + b[1].count_ones();
                 effect.dest_toggles = hamming(old[0], new[0]) + hamming(old[1], new[1]);
-                state.set_vreg(dst, new);
+                state.vregs[dst] = new;
             }
-            Opcode::Vand => simd3(state, &mut effect, |a, b| a & b)?,
-            Opcode::Veor => simd3(state, &mut effect, |a, b| a ^ b)?,
-            Opcode::Vfadd => simd_fp(state, &mut effect, |a, b| a + b)?,
-            Opcode::Vfmul => simd_fp(state, &mut effect, |a, b| a * b)?,
+            Opcode::Vand => self.simd3(state, &mut effect, |a, b| a & b),
+            Opcode::Veor => self.simd3(state, &mut effect, |a, b| a ^ b),
+            Opcode::Vfadd => self.simd_fp(state, &mut effect, |a, b| a + b),
+            Opcode::Vfmul => self.simd_fp(state, &mut effect, |a, b| a * b),
             Opcode::Vfmla => {
-                let dst = ops.vreg(0)?;
-                let a = state.vreg(ops.vreg(1)?);
-                let b = state.vreg(ops.vreg(2)?);
-                let old = state.vreg(dst);
+                let dst = self.v(0);
+                let a = state.vregs[self.v(1)];
+                let b = state.vregs[self.v(2)];
+                let old = state.vregs[dst];
                 let new = [
                     sanitize(
                         f64::from_bits(a[0]).mul_add(f64::from_bits(b[0]), f64::from_bits(old[0])),
@@ -560,35 +587,35 @@ impl Instruction {
                 effect.src_bits =
                     a[0].count_ones() + a[1].count_ones() + b[0].count_ones() + b[1].count_ones();
                 effect.dest_toggles = hamming(old[0], new[0]) + hamming(old[1], new[1]);
-                state.set_vreg(dst, new);
+                state.vregs[dst] = new;
             }
             Opcode::Vmovi => {
-                let dst = ops.vreg(0)?;
-                let new = [ops.imm(1)? as u64, ops.imm(2)? as u64];
-                let old = state.vreg(dst);
+                let dst = self.v(0);
+                let new = [self.imm[0] as u64, self.imm[1] as u64];
+                let old = state.vregs[dst];
                 effect.dest_toggles = hamming(old[0], new[0]) + hamming(old[1], new[1]);
-                state.set_vreg(dst, new);
+                state.vregs[dst] = new;
             }
             Opcode::Ldr => {
-                let dst = ops.reg(0)?;
-                let base = state.reg(ops.reg(1)?);
-                let addr = state.mem_addr(base, ops.imm(2)?, 8);
-                let value = state.load(addr, 8);
+                let dst = self.x(0);
+                let base = state.xregs[self.x(1)];
+                let addr = state.mem_addr(base, self.imm[0], 8);
+                let value = state.load(addr);
                 effect.src_bits = base.count_ones();
-                effect.dest_toggles = hamming(state.reg(dst), value);
+                effect.dest_toggles = hamming(state.xregs[dst], value);
                 effect.mem = Some(MemAccess {
                     addr,
                     width: 8,
                     is_store: false,
                 });
-                state.set_reg(dst, value);
+                state.xregs[dst] = value;
             }
             Opcode::Str => {
-                let value = state.reg(ops.reg(0)?);
-                let base = state.reg(ops.reg(1)?);
-                let addr = state.mem_addr(base, ops.imm(2)?, 8);
+                let value = state.xregs[self.x(0)];
+                let base = state.xregs[self.x(1)];
+                let addr = state.mem_addr(base, self.imm[0], 8);
                 effect.src_bits = value.count_ones() + base.count_ones();
-                effect.dest_toggles = state.store(addr, 8, value);
+                effect.dest_toggles = state.store(addr, value);
                 effect.mem = Some(MemAccess {
                     addr,
                     width: 8,
@@ -596,29 +623,30 @@ impl Instruction {
                 });
             }
             Opcode::Ldp => {
-                let dst1 = ops.reg(0)?;
-                let dst2 = ops.reg(1)?;
-                let base = state.reg(ops.reg(2)?);
-                let addr = state.mem_addr(base, ops.imm(3)?, 16);
-                let v1 = state.load(addr, 8);
-                let v2 = state.load(addr + 8, 8);
+                let dst1 = self.x(0);
+                let dst2 = self.x(1);
+                let base = state.xregs[self.x(2)];
+                let addr = state.mem_addr(base, self.imm[0], 16);
+                let v1 = state.load(addr);
+                let v2 = state.load(addr + 8);
                 effect.src_bits = base.count_ones();
-                effect.dest_toggles = hamming(state.reg(dst1), v1) + hamming(state.reg(dst2), v2);
+                effect.dest_toggles =
+                    hamming(state.xregs[dst1], v1) + hamming(state.xregs[dst2], v2);
                 effect.mem = Some(MemAccess {
                     addr,
                     width: 16,
                     is_store: false,
                 });
-                state.set_reg(dst1, v1);
-                state.set_reg(dst2, v2);
+                state.xregs[dst1] = v1;
+                state.xregs[dst2] = v2;
             }
             Opcode::Stp => {
-                let v1 = state.reg(ops.reg(0)?);
-                let v2 = state.reg(ops.reg(1)?);
-                let base = state.reg(ops.reg(2)?);
-                let addr = state.mem_addr(base, ops.imm(3)?, 16);
+                let v1 = state.xregs[self.x(0)];
+                let v2 = state.xregs[self.x(1)];
+                let base = state.xregs[self.x(2)];
+                let addr = state.mem_addr(base, self.imm[0], 16);
                 effect.src_bits = v1.count_ones() + v2.count_ones() + base.count_ones();
-                effect.dest_toggles = state.store(addr, 8, v1) + state.store(addr + 8, 8, v2);
+                effect.dest_toggles = state.store(addr, v1) + state.store(addr + 8, v2);
                 effect.mem = Some(MemAccess {
                     addr,
                     width: 16,
@@ -626,11 +654,11 @@ impl Instruction {
                 });
             }
             Opcode::Vldr => {
-                let dst = ops.vreg(0)?;
-                let base = state.reg(ops.reg(1)?);
-                let addr = state.mem_addr(base, ops.imm(2)?, 16);
-                let new = [state.load(addr, 8), state.load(addr + 8, 8)];
-                let old = state.vreg(dst);
+                let dst = self.v(0);
+                let base = state.xregs[self.x(1)];
+                let addr = state.mem_addr(base, self.imm[0], 16);
+                let new = [state.load(addr), state.load(addr + 8)];
+                let old = state.vregs[dst];
                 effect.src_bits = base.count_ones();
                 effect.dest_toggles = hamming(old[0], new[0]) + hamming(old[1], new[1]);
                 effect.mem = Some(MemAccess {
@@ -638,15 +666,14 @@ impl Instruction {
                     width: 16,
                     is_store: false,
                 });
-                state.set_vreg(dst, new);
+                state.vregs[dst] = new;
             }
             Opcode::Vstr => {
-                let value = state.vreg(ops.vreg(0)?);
-                let base = state.reg(ops.reg(1)?);
-                let addr = state.mem_addr(base, ops.imm(2)?, 16);
+                let value = state.vregs[self.v(0)];
+                let base = state.xregs[self.x(1)];
+                let addr = state.mem_addr(base, self.imm[0], 16);
                 effect.src_bits = value[0].count_ones() + value[1].count_ones() + base.count_ones();
-                effect.dest_toggles =
-                    state.store(addr, 8, value[0]) + state.store(addr + 8, 8, value[1]);
+                effect.dest_toggles = state.store(addr, value[0]) + state.store(addr + 8, value[1]);
                 effect.mem = Some(MemAccess {
                     addr,
                     width: 16,
@@ -654,28 +681,28 @@ impl Instruction {
                 });
             }
             Opcode::B => {
-                effect.flow = Flow::Skip(ops.target(0)?);
+                effect.flow = Flow::Skip(self.target);
                 effect.branch_taken = true;
             }
             Opcode::Cbz => {
-                let value = state.reg(ops.reg(0)?);
+                let value = state.xregs[self.x(0)];
                 effect.src_bits = value.count_ones();
                 if value == 0 {
-                    effect.flow = Flow::Skip(ops.target(1)?);
+                    effect.flow = Flow::Skip(self.target);
                     effect.branch_taken = true;
                 }
             }
             Opcode::Cbnz => {
-                let value = state.reg(ops.reg(0)?);
+                let value = state.xregs[self.x(0)];
                 effect.src_bits = value.count_ones();
                 if value != 0 {
-                    effect.flow = Flow::Skip(ops.target(1)?);
+                    effect.flow = Flow::Skip(self.target);
                     effect.branch_taken = true;
                 }
             }
             Opcode::Nop => {}
         }
-        Ok(effect)
+        effect
     }
 }
 

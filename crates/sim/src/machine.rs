@@ -37,6 +37,12 @@ impl FuClass {
         FuClass::Branch,
     ];
 
+    /// This class's position in [`FuClass::ALL`] (the declaration order),
+    /// without scanning it.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Which FU executes the given opcode.
     pub fn for_opcode(opcode: Opcode) -> FuClass {
         match opcode.class() {
@@ -206,11 +212,7 @@ pub struct MachineConfig {
 impl MachineConfig {
     /// Timing for the FU class.
     pub fn fu(&self, class: FuClass) -> FuConfig {
-        let index = FuClass::ALL
-            .iter()
-            .position(|c| *c == class)
-            .expect("class in ALL");
-        self.fus[index]
+        self.fus[class.index()]
     }
 
     /// Result latency of an opcode on this machine (excluding cache
@@ -226,11 +228,7 @@ impl MachineConfig {
 
     /// Base dynamic energy of an instruction class in picojoules.
     pub fn base_energy_pj(&self, class: InstrClass) -> f64 {
-        let index = InstrClass::ALL
-            .iter()
-            .position(|c| *c == class)
-            .expect("class in ALL");
-        self.energy.base_pj[index]
+        self.energy.base_pj[class.index()]
     }
 
     /// A 3-wide out-of-order big core, standing in for the Cortex-A15
@@ -460,6 +458,13 @@ impl MachineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fu_index_is_position_in_all() {
+        for (i, class) in FuClass::ALL.iter().enumerate() {
+            assert_eq!(class.index(), i, "{class:?}");
+        }
+    }
 
     #[test]
     fn presets_are_self_consistent() {

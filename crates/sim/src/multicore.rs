@@ -19,11 +19,12 @@
 
 use crate::cache::{CacheConfig, CacheStats, DataCache};
 use crate::machine::MachineConfig;
-use crate::pipeline::{BranchResolution, Decoded, Pipeline};
+use crate::pipeline::{BranchResolution, Pipeline};
 use crate::power::EnergyModel;
 use crate::predictor::BranchPredictor;
 use crate::result::SimError;
-use gest_isa::{ArchState, Flow, InstrClass, Program};
+use crate::simulator::LoweredInstr;
+use gest_isa::{ArchState, Flow, Program};
 
 /// Whether co-running instances address private or shared data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -171,8 +172,7 @@ impl MultiCoreSimulator {
     ///
     /// # Errors
     ///
-    /// Propagates execution errors; [`SimError::EmptyProgram`] for empty
-    /// bodies.
+    /// [`SimError::EmptyProgram`] for empty bodies.
     pub fn run_replicated(
         &self,
         program: &Program,
@@ -184,12 +184,11 @@ impl MultiCoreSimulator {
         }
         let cores = cores.max(1);
         let energy_model = EnergyModel::new(&self.machine);
-        let decoded: Vec<Decoded> = program
+        let body: Vec<LoweredInstr> = program
             .body
             .iter()
-            .map(|i| Pipeline::decode(&self.machine, i))
+            .map(|i| LoweredInstr::new(&self.machine, i))
             .collect();
-        let classes: Vec<InstrClass> = program.body.iter().map(|i| i.opcode().class()).collect();
 
         let mut core_states: Vec<Core> = (0..cores)
             .map(|_| {
@@ -217,10 +216,10 @@ impl MultiCoreSimulator {
                     continue;
                 }
                 let mut pc = 0usize;
-                while pc < program.body.len() {
-                    let instr = &program.body[pc];
-                    let effect = instr.execute(&mut core.state)?;
-                    let branch = if decoded[pc].is_branch {
+                while pc < body.len() {
+                    let instr = &body[pc];
+                    let effect = instr.op.execute(&mut core.state);
+                    let branch = if instr.decoded.is_branch {
                         let correct = core.predictor.update(pc, effect.branch_taken);
                         Some(BranchResolution {
                             taken: effect.branch_taken,
@@ -264,11 +263,14 @@ impl MultiCoreSimulator {
                         }
                     }
 
-                    let issued = core.pipeline.issue(&decoded[pc], extra_latency, branch);
-                    let _ = issued;
-                    let latency = decoded[pc].latency.saturating_add(extra_latency);
-                    core.energy_pj +=
-                        energy_model.instruction_pj(classes[pc], &effect, latency, l1_missed);
+                    core.pipeline.issue(&instr.decoded, extra_latency, branch);
+                    let latency = instr.decoded.latency.saturating_add(extra_latency);
+                    core.energy_pj += energy_model.instruction_pj_indexed(
+                        instr.class,
+                        &effect,
+                        latency,
+                        l1_missed,
+                    );
                     core.retired += 1;
 
                     pc += 1;

@@ -21,6 +21,12 @@
 //! makes GA searches over tens of thousands of individuals practical —
 //! the same reason the paper's framework measures on real silicon rather
 //! than RTL.
+//!
+//! Each static instruction is decoded once ([`Pipeline::decode`]) into
+//! register bitmasks, timing and a pre-resolved functional-unit index.
+//! Per-cycle issue-slot usage lives in a power-of-two ring indexed by
+//! `cycle & mask` that slides forward with fetch, so [`Pipeline::issue`]
+//! allocates nothing in the steady case.
 
 use crate::machine::{FuClass, MachineConfig};
 
@@ -36,8 +42,8 @@ pub enum PipelineKind {
 /// Pre-decoded scheduling metadata for one static instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Decoded {
-    /// Functional unit class.
-    pub fu: FuClass,
+    /// Functional unit class, as its [`FuClass::index`].
+    pub fu_index: u8,
     /// Result latency (cycles).
     pub latency: u8,
     /// FU initiation interval (cycles).
@@ -72,49 +78,105 @@ pub struct Issued {
     pub complete_cycle: u64,
 }
 
-/// Tracks per-cycle issue-slot usage over a sliding window.
+/// Initial issue-slot ring size: covers the prune lag (four reorder
+/// windows behind fetch) plus typical issue run-ahead on every preset, so
+/// most runs never grow it.
+const SLOT_RING_INITIAL: usize = 1024;
+
+/// Tracks per-cycle issue-slot usage over a sliding window of cycles, as
+/// a power-of-two ring indexed by `cycle & mask`.
+///
+/// Invariant: the ring holds the counts of cycles `[base, end)`, with
+/// `end - base <= slots.len()` and cycle `c` at `slots[c & mask]`; every
+/// other slot is zero. A claim beyond the capacity grows the ring (the
+/// cold path), and pruning zeroes the slots it releases, so a cycle that
+/// enters the window later starts from zero.
 #[derive(Debug, Clone)]
 struct SlotTracker {
     base: u64,
-    slots: std::collections::VecDeque<u8>,
+    end: u64,
+    mask: u64,
+    slots: Vec<u8>,
 }
 
 impl SlotTracker {
     fn new() -> SlotTracker {
         SlotTracker {
             base: 0,
-            slots: std::collections::VecDeque::new(),
+            end: 0,
+            mask: SLOT_RING_INITIAL as u64 - 1,
+            slots: vec![0; SLOT_RING_INITIAL],
         }
     }
 
+    #[inline]
     fn used(&self, cycle: u64) -> u8 {
         if cycle < self.base {
             return u8::MAX; // conservatively full for already-pruned cycles
         }
-        let index = (cycle - self.base) as usize;
-        self.slots.get(index).copied().unwrap_or(0)
+        if cycle >= self.end {
+            return 0;
+        }
+        self.slots[(cycle & self.mask) as usize]
     }
 
+    #[inline]
     fn claim(&mut self, cycle: u64) {
         debug_assert!(cycle >= self.base);
-        let index = (cycle - self.base) as usize;
-        while self.slots.len() <= index {
-            self.slots.push_back(0);
+        if cycle - self.base > self.mask {
+            self.grow(cycle);
         }
-        self.slots[index] += 1;
+        self.slots[(cycle & self.mask) as usize] += 1;
+        self.end = self.end.max(cycle + 1);
+    }
+
+    /// Re-lays the tracked cycles into a ring large enough to also hold
+    /// `cycle`.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, cycle: u64) {
+        let capacity = ((cycle - self.base + 1) as usize)
+            .next_power_of_two()
+            .max(2 * self.slots.len());
+        let mask = capacity as u64 - 1;
+        let mut slots = vec![0; capacity];
+        for c in self.base..self.end {
+            slots[(c & mask) as usize] = self.slots[(c & self.mask) as usize];
+        }
+        self.slots = slots;
+        self.mask = mask;
     }
 
     /// Drops accounting for cycles before `watermark` (no future issue can
-    /// land there).
+    /// land there), zeroing the slots they held.
+    #[inline]
     fn prune(&mut self, watermark: u64) {
-        while self.base < watermark && !self.slots.is_empty() {
-            self.slots.pop_front();
-            self.base += 1;
+        if watermark <= self.base {
+            return;
         }
-        if self.slots.is_empty() {
-            self.base = self.base.max(watermark);
+        for c in self.base..watermark.min(self.end) {
+            self.slots[(c & self.mask) as usize] = 0;
+        }
+        self.base = watermark;
+        self.end = self.end.max(watermark);
+    }
+}
+
+/// The unit (of one class's next-free cycles) that is free earliest at or
+/// after `ready`, and that cycle. Ties go to the lowest-numbered unit, as
+/// `Iterator::min_by_key` breaks them.
+#[inline]
+fn first_free_unit(units: &[u64], ready: u64) -> (usize, u64) {
+    let mut unit = 0;
+    let mut unit_cycle = units[0].max(ready);
+    for (u, &free) in units.iter().enumerate().skip(1) {
+        let candidate = free.max(ready);
+        if candidate < unit_cycle {
+            unit = u;
+            unit_cycle = candidate;
         }
     }
+    (unit, unit_cycle)
 }
 
 /// Scheduler state normalized to a reference cycle, produced by
@@ -231,7 +293,7 @@ impl Pipeline {
             vec_srcs |= vec_dsts;
         }
         Decoded {
-            fu,
+            fu_index: fu.index() as u8,
             latency: cfg.latency,
             interval: cfg.interval,
             int_srcs,
@@ -240,13 +302,6 @@ impl Pipeline {
             vec_dsts,
             is_branch: instr.opcode().is_branch(),
         }
-    }
-
-    fn fu_index(fu: FuClass) -> usize {
-        FuClass::ALL
-            .iter()
-            .position(|c| *c == fu)
-            .expect("class in ALL")
     }
 
     /// Schedules the next dynamic instruction. `extra_latency` adds cache
@@ -293,31 +348,17 @@ impl Pipeline {
         }
 
         // -- structural hazards ------------------------------------------
-        let fu = Self::fu_index(d.fu);
-        let mut cycle = ready;
-        loop {
-            // Earliest cycle >= cycle at which some unit of this class is
-            // free.
-            let unit = (0..self.fu_free[fu].len())
-                .min_by_key(|&u| self.fu_free[fu][u].max(cycle))
-                .expect("at least one unit per class");
-            let unit_cycle = self.fu_free[fu][unit].max(cycle);
-            // Issue-bandwidth constraint.
-            let mut c = unit_cycle;
-            while self.issue_slots.used(c) >= self.width {
-                c += 1;
-            }
-            if c == unit_cycle || self.fu_free[fu][unit] <= c {
-                // Unit still free at c: commit.
-                self.issue_slots.claim(c);
-                self.fu_free[fu][unit] = c + self.fu_interval[fu] as u64;
-                cycle = c;
-                break;
-            }
-            // Slot search pushed past this unit's availability horizon;
-            // retry from c.
-            cycle = c;
+        // The earliest cycle >= ready at which a unit of this class is
+        // free (the first such unit on ties), then the first cycle from
+        // there with a free issue slot. The unit is still free at that
+        // cycle, so it issues there.
+        let fu = usize::from(d.fu_index);
+        let (unit, mut cycle) = first_free_unit(&self.fu_free[fu], ready);
+        while self.issue_slots.used(cycle) >= self.width {
+            cycle += 1;
         }
+        self.issue_slots.claim(cycle);
+        self.fu_free[fu][unit] = cycle + self.fu_interval[fu] as u64;
 
         let complete = cycle + self.fu_latency[fu] as u64 + extra_latency as u64;
 
@@ -423,9 +464,8 @@ impl Pipeline {
         // reference are never probed again (every probe cycle is at least
         // the instruction's fetch cycle, which is at least the reference).
         out.issue_slots.clear();
-        let end = self.issue_slots.base + self.issue_slots.slots.len() as u64;
         let mut cycle = reference;
-        while cycle < end {
+        while cycle < self.issue_slots.end {
             out.issue_slots.push(self.issue_slots.used(cycle));
             cycle += 1;
         }
@@ -626,6 +666,156 @@ mod tests {
             miss.complete_cycle - miss.issue_cycle,
             (hit.complete_cycle - hit.issue_cycle) + machine.miss_penalty as u64
         );
+    }
+
+    /// The issue-slot tracker as it was before the ring: a `VecDeque`
+    /// covering cycles `[base, base + len)`. Kept here as the reference
+    /// model the ring must agree with.
+    struct DequeSlots {
+        base: u64,
+        slots: std::collections::VecDeque<u8>,
+    }
+
+    impl DequeSlots {
+        fn used(&self, cycle: u64) -> u8 {
+            if cycle < self.base {
+                return u8::MAX;
+            }
+            let index = (cycle - self.base) as usize;
+            self.slots.get(index).copied().unwrap_or(0)
+        }
+
+        fn claim(&mut self, cycle: u64) {
+            let index = (cycle - self.base) as usize;
+            while self.slots.len() <= index {
+                self.slots.push_back(0);
+            }
+            self.slots[index] += 1;
+        }
+
+        fn prune(&mut self, watermark: u64) {
+            while self.base < watermark && !self.slots.is_empty() {
+                self.slots.pop_front();
+                self.base += 1;
+            }
+            if self.slots.is_empty() {
+                self.base = self.base.max(watermark);
+            }
+        }
+    }
+
+    /// Checks the ring invariant: it tracks exactly the model's cycles,
+    /// agrees with it on every probe around them, and holds zero in every
+    /// slot outside the tracked range.
+    fn assert_ring_matches(ring: &SlotTracker, model: &DequeSlots) {
+        assert_eq!(ring.base, model.base);
+        assert_eq!(ring.end, model.base + model.slots.len() as u64);
+        assert!(ring.end - ring.base <= ring.slots.len() as u64);
+        assert_eq!(ring.mask, ring.slots.len() as u64 - 1);
+        for cycle in ring.base.saturating_sub(2)..ring.end + 2 {
+            assert_eq!(ring.used(cycle), model.used(cycle), "cycle {cycle}");
+        }
+        let live: u64 = (ring.base..ring.end).map(|c| u64::from(ring.used(c))).sum();
+        let stored: u64 = ring.slots.iter().map(|&n| u64::from(n)).sum();
+        assert_eq!(live, stored, "a slot outside [base, end) is non-zero");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn first_free_unit_breaks_ties_like_min_by_key(
+            units in proptest::prop::collection::vec(0u64..6, 1..5),
+            ready in 0u64..6,
+        ) {
+            let expected = (0..units.len())
+                .min_by_key(|&u| units[u].max(ready))
+                .expect("at least one unit");
+            let (unit, cycle) = first_free_unit(&units, ready);
+            assert_eq!(unit, expected, "{units:?} ready {ready}");
+            assert_eq!(cycle, units[expected].max(ready));
+        }
+
+        #[test]
+        fn slot_ring_matches_deque_model(
+            ops in proptest::prop::collection::vec((0u8..3, 0u64..3000), 1..160),
+        ) {
+            let mut ring = SlotTracker::new();
+            let mut model = DequeSlots {
+                base: 0,
+                slots: std::collections::VecDeque::new(),
+            };
+            for (kind, delta) in ops {
+                match kind {
+                    // Claims reach past the initial capacity, so the ring
+                    // grows (and may grow again) mid-sequence.
+                    0 => {
+                        let cycle = model.base + delta;
+                        ring.claim(cycle);
+                        model.claim(cycle);
+                        if delta >= SLOT_RING_INITIAL as u64 {
+                            assert!(ring.slots.len() > SLOT_RING_INITIAL, "grow ran");
+                        }
+                    }
+                    // Watermarks at, behind and ahead of the base, some
+                    // past the last claimed cycle.
+                    1 => {
+                        let watermark = model.base.saturating_sub(16) + delta / 4;
+                        ring.prune(watermark);
+                        model.prune(watermark);
+                    }
+                    _ => {
+                        let cycle = model.base.saturating_sub(8) + delta;
+                        assert_eq!(ring.used(cycle), model.used(cycle));
+                    }
+                }
+                assert_ring_matches(&ring, &model);
+            }
+        }
+    }
+
+    #[test]
+    fn divide_chain_with_misses_runs_past_one_ring_length() {
+        // A serial chain of unpipelined divides, each paying a miss-sized
+        // extra latency, with independent adds in between: the adds keep
+        // fetch (and so the prune watermark) moving while the divides
+        // issue thousands of cycles ahead of it.
+        let machine = MachineConfig::cortex_a15();
+        let mut pipeline = Pipeline::new(&machine);
+        let div = decode(&machine, "SDIV x1, x1, x2");
+        let add = decode(&machine, "ADD x5, x6, x7");
+        let div_interval = machine.fu(FuClass::Div).interval as u64;
+        let mut issues: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
+        let mut previous_div: Option<Issued> = None;
+        let mut max_span = 0;
+        for i in 0..400 {
+            let issued = if i % 4 == 0 {
+                let issued = pipeline.issue(&div, 200, None);
+                if let Some(previous) = previous_div {
+                    assert!(issued.issue_cycle >= previous.complete_cycle, "chained");
+                    assert!(issued.issue_cycle >= previous.issue_cycle + div_interval);
+                }
+                previous_div = Some(issued);
+                issued
+            } else {
+                pipeline.issue(&add, 0, None)
+            };
+            *issues.entry(issued.issue_cycle).or_insert(0) += 1;
+            let slots = &pipeline.issue_slots;
+            max_span = max_span.max(slots.end - slots.base);
+            // The ring's counts equal an independent per-cycle tally over
+            // every cycle it still tracks, and no cycle exceeds the width.
+            for cycle in slots.base..slots.end {
+                let expected = issues.get(&cycle).copied().unwrap_or(0);
+                assert_eq!(slots.used(cycle), expected, "cycle {cycle}");
+                assert!(expected <= machine.width);
+            }
+        }
+        assert!(
+            max_span > SLOT_RING_INITIAL as u64,
+            "issue must run more than one ring length ahead of the watermark, spanned {max_span}"
+        );
+        assert!(pipeline.issue_slots.slots.len() > SLOT_RING_INITIAL);
     }
 
     #[test]

@@ -59,11 +59,7 @@ impl EnergyModel {
         latency: u8,
         l1_miss: bool,
     ) -> f64 {
-        let index = InstrClass::ALL
-            .iter()
-            .position(|c| *c == class)
-            .expect("class in ALL");
-        self.instruction_pj_indexed(index, effect, latency, l1_miss)
+        self.instruction_pj_indexed(class.index(), effect, latency, l1_miss)
     }
 
     /// Like [`instruction_pj`](EnergyModel::instruction_pj) with the class

@@ -1,5 +1,13 @@
 //! The top-level simulator: functional execution + timing + power +
 //! thermal + PDN, producing a [`RunResult`].
+//!
+//! A run lowers the program body once into `LoweredInstr` records (the
+//! micro-op, its scheduling data and its class index), then drives one
+//! `LaneRun` through the loop iterations: each dynamic instruction
+//! executes its micro-op, consults the predictor and the L1, is scheduled
+//! on the scoreboard and deposits its energy at its issue cycle. The
+//! steady-state detector may end execution early and replay the rest;
+//! the finalize then integrates power, thermal and PDN in one pass.
 
 use crate::cache::DataCache;
 use crate::machine::{MachineConfig, ThermalConfig};
@@ -9,7 +17,7 @@ use crate::power::EnergyModel;
 use crate::predictor::BranchPredictor;
 use crate::result::{RunConfig, RunResult, SimError};
 use crate::thermal::ThermalSchedule;
-use gest_isa::{ArchState, Effect, Flow, InstrClass, Program};
+use gest_isa::{ArchState, Effect, Flow, Instruction, MicroOp, Program};
 use std::collections::VecDeque;
 
 /// Per-cycle waveforms captured by [`Simulator::run_traced`] — the
@@ -132,7 +140,27 @@ impl SteadySnapshot {
     }
 }
 
-/// One lane's reusable buffers: decode tables, the per-cycle energy
+/// One static body instruction, lowered once per run: the micro-op the
+/// hot loop executes, its scheduling data on this machine, and its
+/// [`InstrClass`](gest_isa::InstrClass) index for energy and class counts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LoweredInstr {
+    pub(crate) op: MicroOp,
+    pub(crate) decoded: Decoded,
+    pub(crate) class: usize,
+}
+
+impl LoweredInstr {
+    pub(crate) fn new(machine: &MachineConfig, instr: &Instruction) -> LoweredInstr {
+        LoweredInstr {
+            op: instr.lower(),
+            decoded: Pipeline::decode(machine, instr),
+            class: instr.opcode().class().index(),
+        }
+    }
+}
+
+/// One lane's reusable buffers: the lowered body, the per-cycle energy
 /// waveform, the steady-state detector's rings and snapshots, and pooled
 /// instruments recycled across runs. Every buffer here is mutable
 /// per-candidate state — lanes of a batch each own one, so nothing a lane
@@ -140,8 +168,7 @@ impl SteadySnapshot {
 #[derive(Debug, Default)]
 struct LaneScratch {
     cycle_energy_pj: Vec<f64>,
-    decoded: Vec<Decoded>,
-    class_idx: Vec<usize>,
+    body: Vec<LoweredInstr>,
     cur_echo: Vec<EchoRec>,
     history: VecDeque<IterEcho>,
     spare: Vec<Vec<EchoRec>>,
@@ -189,10 +216,11 @@ fn memo_schedule(
 /// A fresh scratch is allocated internally by [`Simulator::run`]; callers
 /// evaluating many programs (GA workers, benchmarks) should keep one per
 /// thread and use [`Simulator::run_with_scratch`]. The scratch then reuses
-/// decode buffers, the per-cycle energy waveform and the steady-state
-/// detector's snapshots, recycles the architectural state and data cache
-/// of the previous run, and memoizes the fill-pattern memory hash and the
-/// thermal hold schedule. None of this reuse changes any result.
+/// the lowered-body buffer, the per-cycle energy waveform and the
+/// steady-state detector's snapshots, recycles the architectural state
+/// and data cache of the previous run, and memoizes the fill-pattern
+/// memory hash and the thermal hold schedule. None of this reuse changes
+/// any result.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     lane: LaneScratch,
@@ -263,10 +291,11 @@ const STEADY_MAX_ATTEMPTS: u32 = 64;
 
 /// Runs programs on a machine model and measures them.
 ///
-/// One simulator per machine; `run` is stateless between calls (fresh
-/// architectural state, caches, and predictor each run), so a single
-/// instance can measure a whole GA population sequentially — or clone the
-/// simulator per thread for parallel evaluation.
+/// One simulator per machine. Every run starts from fresh architectural
+/// state, cache, predictor and pipeline (pooled instruments are reset to
+/// exactly that state), so a single instance can measure a whole GA
+/// population sequentially — or clone the simulator per thread, each
+/// with its own [`SimScratch`], for parallel evaluation.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     machine: MachineConfig,
@@ -292,7 +321,11 @@ impl Simulator {
     /// # Errors
     ///
     /// * [`SimError::EmptyProgram`] when the body has no instructions,
-    /// * [`SimError::Exec`] if functional execution fails.
+    /// * [`SimError::BadMemSize`] when the machine's memory size is not a
+    ///   power of two of at least 64 bytes.
+    ///
+    /// Execution itself cannot fail: instructions are validated on
+    /// construction and lowered to infallible micro-ops.
     pub fn run(&self, program: &Program, config: &RunConfig) -> Result<RunResult, SimError> {
         self.run_inner(program, config, false, &mut SimScratch::new())
             .map(|(result, _)| result)
@@ -375,9 +408,6 @@ impl Simulator {
         while !lane.halted {
             lane.step_iteration();
         }
-        if let Some(error) = lane.error.take() {
-            return Err(error);
-        }
         let schedule = memo_schedule(thermal, self.machine.thermal, config.thermal_hold_s);
         let (result, traces, tally) = lane.finalize(want_traces, schedule);
         *steady_hits += tally.steady_hit as u64;
@@ -449,8 +479,9 @@ impl Simulator {
     /// exactly the single-run order. Per-lane results are therefore
     /// byte-identical to [`run`](Simulator::run) (asserted by the sim
     /// property tests). Lanes retire independently when their iteration
-    /// budgets, cycle budgets, or steady-state triggers diverge; an
-    /// erroring lane yields its own `Err` without disturbing neighbours.
+    /// budgets, cycle budgets, or steady-state triggers diverge; a lane
+    /// that fails validation or setup yields its own `Err` without
+    /// disturbing neighbours.
     pub fn run_batch(
         &self,
         programs: &[Program],
@@ -525,10 +556,10 @@ impl Simulator {
             .collect();
 
         // Lockstep sweeps: one loop-body iteration per active lane per
-        // sweep. Lanes retire independently (iteration/cycle budget,
-        // steady-state confirmation, or execution error), and a lane's
-        // iteration sequence is never interleaved *within* itself, so
-        // the sweep order cannot affect any lane's outcome.
+        // sweep. Lanes retire independently (iteration/cycle budget or
+        // steady-state confirmation), and a lane's iteration sequence is
+        // never interleaved *within* itself, so the sweep order cannot
+        // affect any lane's outcome.
         loop {
             let mut active = false;
             for lane in slots.iter_mut().flatten() {
@@ -545,10 +576,7 @@ impl Simulator {
         slots
             .into_iter()
             .map(|slot| {
-                let mut lane = slot?;
-                if let Some(error) = lane.error.take() {
-                    return Err(error);
-                }
+                let lane = slot?;
                 let (result, traces, tally) = lane.finalize(want_traces, schedule);
                 *steady_hits += tally.steady_hit as u64;
                 *extrapolated_iterations += tally.extrapolated;
@@ -610,10 +638,9 @@ struct LaneRun<'a> {
     extra_bp_hits: u64,
     extra_bp_misses: u64,
     iterations: u64,
-    /// The lane has retired (budget, steady-state, or error) and must not
-    /// be stepped again.
+    /// The lane has retired (budget or steady state) and must not be
+    /// stepped again.
     halted: bool,
-    error: Option<SimError>,
 }
 
 impl<'a> LaneRun<'a> {
@@ -631,20 +658,12 @@ impl<'a> LaneRun<'a> {
         let pipeline = Pipeline::new(machine);
         let predictor = BranchPredictor::new(program.body.len());
 
-        // Pre-decode the static body once, resolving each instruction's
-        // class index here instead of linearly scanning per retirement.
-        scratch.decoded.clear();
+        // Lower the static body once: the hot loop executes micro-ops
+        // and reads pre-resolved scheduling data and class indices.
+        scratch.body.clear();
         scratch
-            .decoded
-            .extend(program.body.iter().map(|i| Pipeline::decode(machine, i)));
-        scratch.class_idx.clear();
-        scratch.class_idx.extend(program.body.iter().map(|i| {
-            let class = i.opcode().class();
-            InstrClass::ALL
-                .iter()
-                .position(|c| *c == class)
-                .expect("class in ALL")
-        }));
+            .body
+            .extend(program.body.iter().map(|i| LoweredInstr::new(machine, i)));
 
         // Per-cycle dynamic energy, indexed by issue cycle. Reserve from
         // the cycle budget up front (capped for pathological budgets);
@@ -683,13 +702,12 @@ impl<'a> LaneRun<'a> {
             extra_bp_misses: 0,
             iterations: 0,
             halted: false,
-            error: None,
         }
     }
 
     /// Executes one loop-body iteration plus its boundary bookkeeping,
-    /// retiring the lane when an iteration/cycle budget, the steady-state
-    /// detector, or an execution error ends the run. One call corresponds
+    /// retiring the lane when an iteration/cycle budget or the
+    /// steady-state detector ends the run. One call corresponds
     /// to one pass of the classic single-run `while` loop, so interleaving
     /// calls across lanes cannot reorder anything within a lane.
     fn step_iteration(&mut self) {
@@ -702,20 +720,14 @@ impl<'a> LaneRun<'a> {
         if self.recording {
             self.scratch.cur_echo.clear();
         }
+        let body = &self.scratch.body;
         let mut pc = 0usize;
-        while pc < self.program.body.len() {
-            let instr = &self.program.body[pc];
-            let effect = match instr.execute(&mut self.state) {
-                Ok(effect) => effect,
-                Err(e) => {
-                    self.error = Some(SimError::from(e));
-                    self.halted = true;
-                    return;
-                }
-            };
+        while pc < body.len() {
+            let instr = &body[pc];
+            let effect = instr.op.execute(&mut self.state);
 
             // Branch prediction.
-            let (branch, correct) = if self.scratch.decoded[pc].is_branch {
+            let (branch, correct) = if instr.decoded.is_branch {
                 let predicted = self.predictor.predict(pc);
                 let correct = self.predictor.update(pc, effect.branch_taken);
                 debug_assert_eq!(correct, predicted == effect.branch_taken);
@@ -740,23 +752,18 @@ impl<'a> LaneRun<'a> {
                 }
             }
 
-            let issued = self
-                .pipeline
-                .issue(&self.scratch.decoded[pc], extra_latency, branch);
+            let issued = self.pipeline.issue(&instr.decoded, extra_latency, branch);
 
             // Energy attribution at the issue cycle.
-            let latency = self.scratch.decoded[pc].latency + extra_latency;
-            let energy = self.energy_model.instruction_pj_indexed(
-                self.scratch.class_idx[pc],
-                &effect,
-                latency,
-                missed,
-            );
+            let latency = instr.decoded.latency + extra_latency;
+            let energy =
+                self.energy_model
+                    .instruction_pj_indexed(instr.class, &effect, latency, missed);
             let slot = issued.issue_cycle as usize;
             ensure_slot(&mut self.scratch.cycle_energy_pj, slot);
             self.scratch.cycle_energy_pj[slot] += energy;
 
-            self.class_counts[self.scratch.class_idx[pc]] += 1;
+            self.class_counts[instr.class] += 1;
             self.retired += 1;
 
             if self.recording {
@@ -940,8 +947,8 @@ impl<'a> LaneRun<'a> {
                         let slot = (shift + rec.rel_issue) as usize;
                         ensure_slot(&mut scratch.cycle_energy_pj, slot);
                         scratch.cycle_energy_pj[slot] += f64::from_bits(rec.energy_bits);
-                        let pc = rec.pc as usize;
-                        class_counts[scratch.class_idx[pc]] += 1;
+                        let instr = &scratch.body[rec.pc as usize];
+                        class_counts[instr.class] += 1;
                         retired += 1;
                         if rec.effect.mem.is_some() {
                             if rec.hit {
@@ -950,7 +957,7 @@ impl<'a> LaneRun<'a> {
                                 extra_l1_misses += 1;
                             }
                         }
-                        if scratch.decoded[pc].is_branch {
+                        if instr.decoded.is_branch {
                             if rec.correct {
                                 extra_bp_hits += 1;
                             } else {
